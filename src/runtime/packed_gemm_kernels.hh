@@ -31,10 +31,6 @@
  * All tiers decode identical values: the vector LUT decodes are
  * bit-identical to runtime/decode_lut.
  *
- * The PR3 tile-at-a-time driver is kept as
- * detail::packedMatmulNtTiled — the committed-trajectory baseline
- * the bench's blocked_vs_pr3 ratios are measured against.
- *
  * Not installed API — tests include it for direct kernel access.
  */
 
@@ -52,15 +48,12 @@ namespace m2x {
 namespace runtime {
 namespace detail {
 
-/** Legacy (PR3) output tile height and width per task. */
-constexpr size_t gemmTileM = 16;
-constexpr size_t gemmTileN = 16;
-
 /**
  * The cache-block hierarchy of the panel GEMM. mr/nr are the
  * register tile compiled into the ISA's microkernel and cannot be
- * overridden; mc/kc/nc are the cache blocks (defaults per ISA,
- * overridable via M2X_GEMM_MC/KC/NC — see gemmBlocking()).
+ * overridden; mc/kc/nc are the cache blocks (fixed per ISA by
+ * gemmBlocking(); the blocked driver accepts any normalized
+ * override through packedMatmulNtBlocked).
  */
 struct GemmBlocking
 {
@@ -93,24 +86,13 @@ using MicroKernelFn = void (*)(const double *a, size_t a_stride,
 using DecodeRowFn = void (*)(const PackedM2xfpTensor &t, size_t row,
                              float *out);
 
-/**
- * Legacy PR3 tile kernel: rows [i0, i0+mt) x cols [j0, j0+nt) of c,
- * with the decoded A tile already in abuf (mt rows of padded_k
- * floats). k is the true (unpadded) depth.
- */
-using TileKernelFn = void (*)(const PackedM2xfpTensor &w,
-                              const float *abuf, size_t padded_k,
-                              size_t i0, size_t mt, size_t j0,
-                              size_t nt, size_t k, Matrix &c);
-
 /** The per-ISA kernel set used by packedMatmulNt. */
 struct GemmKernels
 {
     DecodeRowFn decodeActivationRow;
     DecodeRowFn decodeWeightRow;
     MicroKernelFn microKernel;
-    TileKernelFn computeTile; //!< legacy PR3 tile kernel
-    GemmBlocking blocking;    //!< per-ISA default block hierarchy
+    GemmBlocking blocking; //!< per-ISA default block hierarchy
     /** Vector tiers sweep the zero-padded K tail; the scalar oracle
      *  must exclude it to keep the reference summation chain. */
     bool accumulatePadding;
@@ -122,19 +104,14 @@ struct GemmKernels
  */
 const GemmKernels &gemmKernels(SimdIsa isa);
 
-/**
- * The block hierarchy packedMatmulNt uses for @p isa: the kernel
- * table's defaults with the M2X_GEMM_MC / M2X_GEMM_KC / M2X_GEMM_NC
- * environment overrides applied (parsed once per process; values are
- * rounded up to the register tile / decode group so no override can
- * break a kernel invariant, malformed values warn and are ignored).
- */
+/** The block hierarchy packedMatmulNt uses for @p isa: the kernel
+ *  table's per-ISA defaults. */
 GemmBlocking gemmBlocking(SimdIsa isa);
 
 /**
  * The blocked GEMM with an explicit block hierarchy — the bench's
  * per-block-size sweep and the block-boundary tests use this to pin
- * mc/kc/nc regardless of the environment. @p blocking must come from
+ * mc/kc/nc. @p blocking must come from
  * normalizeBlocking() (or gemmBlocking()) for the same ISA.
  */
 void packedMatmulNtBlocked(const PackedM2xfpTensor &a,
@@ -165,25 +142,12 @@ GemmBlocking normalizeBlocking(SimdIsa isa, size_t mc, size_t kc,
  */
 size_t packedGemmGrain(size_t n_ic, size_t n_jc, size_t lanes);
 
-/**
- * Legacy PR3 driver: tile-at-a-time K loop, W tile re-decoded for
- * every M tile. Kept (scalar and AVX2 tiers only) as the comparison
- * baseline for the bench's blocked_vs_pr3 ratios and the
- * blocked-vs-tiled parity tests.
- */
-void packedMatmulNtTiled(const PackedM2xfpTensor &a,
-                         const PackedM2xfpTensor &w, Matrix &c,
-                         ThreadPool *pool, SimdIsa isa);
-
 /** @{ Scalar tier: ascending-k double accumulation, the bit-exact
  *  oracle. */
 void microKernelScalar(const double *a, size_t a_stride,
                        const double *ws, size_t nr, size_t p0,
                        size_t p1, size_t mr_cur, double *acc,
                        size_t acc_stride);
-void computeTileScalar(const PackedM2xfpTensor &w, const float *abuf,
-                       size_t padded_k, size_t i0, size_t mt,
-                       size_t j0, size_t nt, size_t k, Matrix &c);
 /** @} */
 
 #ifdef M2X_HAVE_AVX2
@@ -192,9 +156,6 @@ void microKernelAvx2(const double *a, size_t a_stride,
                      const double *ws, size_t nr, size_t p0,
                      size_t p1, size_t mr_cur, double *acc,
                      size_t acc_stride);
-void computeTileAvx2(const PackedM2xfpTensor &w, const float *abuf,
-                     size_t padded_k, size_t i0, size_t mt, size_t j0,
-                     size_t nt, size_t k, Matrix &c);
 
 void decodeActivationRowAvx2(const PackedM2xfpTensor &t, size_t row,
                              float *out);

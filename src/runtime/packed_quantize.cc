@@ -16,13 +16,8 @@ quantizeKernels(SimdIsa isa)
     static const QuantizeKernels scalar{&quantizeActivationRowScalar};
 #ifdef M2X_HAVE_AVX2
     static const QuantizeKernels avx2{&quantizeActivationRowAvx2};
-    if (isa == SimdIsa::Avx2)
+    if (isa == SimdIsa::Avx2 || isa == SimdIsa::Avx512)
         return avx2;
-#endif
-#ifdef M2X_HAVE_AVX512
-    static const QuantizeKernels avx512{&quantizeActivationRowAvx512};
-    if (isa == SimdIsa::Avx512)
-        return avx512;
 #endif
     (void)isa;
     return scalar;
@@ -81,11 +76,7 @@ PackedM2xfpTensor::packActivations(const Matrix &m,
     if (rows == 0 || gpr == 0)
         return;
 
-    // Encoder tiers are byte-exact against each other, so the encode
-    // stage may run a different (faster) tier than the surrounding
-    // GEMM/attend — see encodeSimdIsa.
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     ThreadPool &tp = pool ? *pool : ThreadPool::global();
     size_t grain = detail::packedQuantizeGrain(rows, tp.size());
     const float *src = m.data();
@@ -145,8 +136,7 @@ PackedM2xfpTensor::appendActivationRows(const float *rows,
     scales_.resize(rows_ * gpr);
     meta_.resize(rows_ * gpr);
 
-    const detail::QuantizeKernels &kern =
-        detail::quantizeKernels(encodeSimdIsa(isa));
+    const detail::QuantizeKernels &kern = detail::quantizeKernels(isa);
     auto encode = [&](size_t r0, size_t r1) {
         for (size_t r = r0; r < r1; ++r) {
             size_t slot = (old_rows + r) * gpr;

@@ -310,8 +310,7 @@ TEST_P(CrossFormat, PackedAttendMatchesFp32OracleOnQuantizedRows)
     // The packed attend for this codec vs the fp32 oracle fed the
     // codec's functionally round-tripped K/V rows: both kernels see
     // the same operand values, so outputs agree to the established
-    // attend tolerance on every tier and in both the flash and the
-    // legacy page walker.
+    // attend tolerance on every tier.
     const size_t layers = 2, d = 64, tokens = 13;
     const unsigned heads = 2;
     Matrix k = randomMatrix(tokens, d, 0x11, 4.0);
@@ -335,12 +334,6 @@ TEST_P(CrossFormat, PackedAttendMatchesFp32OracleOnQuantizedRows)
         packed.attend(0, q.data(), tokens, 0, heads,
                       ctx_packed.data());
         fp32.attend(0, q.data(), tokens, 0, heads, ctx_fp32.data());
-        expectMatricesClose(ctx_packed, ctx_fp32, 1e-6);
-
-        packed.attendLegacy(0, q.data(), tokens, 0, heads,
-                            ctx_packed.data());
-        fp32.attendLegacy(0, q.data(), tokens, 0, heads,
-                          ctx_fp32.data());
         expectMatricesClose(ctx_packed, ctx_fp32, 1e-6);
     }
 }

@@ -4,10 +4,9 @@
  * must reproduce the full-forward oracle at every page-boundary
  * context length on every tier (fp32 bit-exact, packed within the
  * model tolerance), grouped-query and sliding-window variants must
- * match the grouped/windowed oracle, the legacy O(context)-scratch
- * attend must agree with the flash rewrite, per-lane attend scratch
- * must stay constant from 1k to 64k context, and the per-ISA kernel
- * primitives must agree with the scalar tier under GQA grouping.
+ * match the grouped/windowed oracle, per-lane attend scratch must
+ * stay constant from 1k to 64k context, and the per-ISA page kernels
+ * must agree with the scalar tier under GQA grouping.
  */
 
 #include <gtest/gtest.h>
@@ -266,39 +265,6 @@ TEST(FlashAttend, ReleaseBeforeKeepsWindowedAttendExact)
     }
 }
 
-TEST(FlashAttend, LegacyAttendMatchesFlash)
-{
-    // attendLegacy is the pre-flash O(context)-scratch baseline the
-    // long-context bench measures against; on the same rows the two
-    // must agree — bitwise in fp32 (the 3-pass replicates the
-    // materialized-scores arithmetic), within the model tolerance in
-    // packed (different exp and accumulation association).
-    const size_t d = 64, tokens = 70;
-    const unsigned heads = 2;
-    Matrix k = test::randomMatrix(tokens, d, 101, 4.0);
-    Matrix v = test::randomMatrix(tokens, d, 102, 4.0);
-    Matrix q = test::randomMatrix(tokens, d, 103, 4.0);
-
-    for (SimdIsa isa : supportedSimdIsas()) {
-        for (KvCacheMode mode :
-             {KvCacheMode::Fp32, KvCacheMode::Packed}) {
-            SCOPED_TRACE(std::string(kvCacheModeName(mode)) +
-                         " isa=" + simdIsaName(isa));
-            KvCache cache(1, d, mode, {}, isa);
-            cache.append(0, k.data(), v.data(), tokens);
-            Matrix flash(tokens, d), legacy(tokens, d);
-            cache.attend(0, q.data(), tokens, 0, heads,
-                         flash.data());
-            cache.attendLegacy(0, q.data(), tokens, 0, heads,
-                               legacy.data());
-            if (mode == KvCacheMode::Fp32)
-                test::expectMatricesBitExact(flash, legacy);
-            else
-                test::expectMatricesClose(flash, legacy, 1e-5);
-        }
-    }
-}
-
 TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 {
     // The defining flash property (and the ISSUE's regression gate):
@@ -332,73 +298,100 @@ TEST(FlashAttend, ScratchStaysConstantFrom1kTo64kContext)
 
 TEST(FlashAttendKernels, VectorTiersMatchScalarUnderGrouping)
 {
-    // Direct kernel parity: per-head dots, value accumulation and
-    // exponential weights on every compiled tier vs the scalar
-    // oracle, at group 1 and 2 and a non-vector-multiple head dim.
+    // Direct kernel parity for the page kernels the flash attend
+    // runs: page decode (bit-exact), page scores and maxima, page
+    // value accumulation and exponential weights on every compiled
+    // tier vs the scalar tier, at group 1 and 2 and a
+    // non-vector-multiple head dim. An odd row count exercises the
+    // vector tiers' paired-row loops and their tails.
     using namespace detail;
     const unsigned n_heads = 4;
+    const size_t n_rows = 13;
+    ElemEmQuantizer aq = makeM2xfpActivationQuantizer();
     for (size_t hd : {size_t(32), size_t(20)}) {
         for (unsigned group : {1u, 2u}) {
             SCOPED_TRACE("hd=" + std::to_string(hd) +
                          " group=" + std::to_string(group));
             size_t kv_d = (n_heads / group) * hd;
             Matrix q = test::randomMatrix(1, n_heads * hd, 121, 4.0);
-            Matrix row = test::randomMatrix(1, kv_d, 122, 4.0);
-            std::vector<double> p(n_heads);
-            for (unsigned h = 0; h < n_heads; ++h)
-                p[h] = 0.25 * (h + 1);
-
-            std::vector<double> dot_want(n_heads);
-            std::vector<double> acc_want(n_heads * hd, 0.0);
-            dotHeadsScalar(q.data(), row.data(), hd, n_heads, group,
-                           dot_want.data());
-            accumHeadsScalar(p.data(), row.data(), hd, n_heads,
-                             group, acc_want.data());
-            std::vector<double> s(33);
+            PackedM2xfpTensor page = PackedM2xfpTensor::packActivations(
+                test::randomMatrix(n_rows, kv_d, 122, 4.0), aq);
+            size_t stride =
+                page.groupsPerRow() * PackedM2xfpTensor::groupSize;
+            double inv_sqrt =
+                1.0 / std::sqrt(static_cast<double>(hd));
+            std::vector<double> w(n_heads * n_rows);
             Rng rng(123);
+            for (auto &x : w)
+                x = rng.uniform();
+            std::vector<double> s(33);
             for (auto &x : s)
                 x = -30.0 * rng.uniform();
-            std::vector<double> exp_want(s.size());
-            expWeightsScalar(s.data(), 0.0, s.size(),
-                             exp_want.data());
 
-            auto check = [&](const AttendKernels &kern,
-                             const char *name) {
-                SCOPED_TRACE(name);
-                std::vector<double> dot_got(n_heads);
-                std::vector<double> acc_got(n_heads * hd, 0.0);
-                std::vector<double> exp_got(s.size());
-                kern.dotHeads(q.data(), row.data(), hd, n_heads,
-                              group, dot_got.data());
-                kern.accumHeads(p.data(), row.data(), hd, n_heads,
-                                group, acc_got.data());
-                kern.expWeights(s.data(), 0.0, s.size(),
-                                exp_got.data());
-                for (unsigned h = 0; h < n_heads; ++h)
-                    EXPECT_NEAR(dot_got[h], dot_want[h],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(dot_want[h])))
-                        << "head " << h;
-                for (size_t i = 0; i < acc_want.size(); ++i)
-                    ASSERT_NEAR(acc_got[i], acc_want[i],
-                                1e-9 * std::max(
-                                           1.0,
-                                           std::abs(acc_want[i])))
-                        << "elem " << i;
-                // The vector tiers run a float polynomial exp
-                // against the scalar libm double; the error grows
-                // with |s - m| (range-reduction rounding) but stays
-                // an order under the 1e-5 packed model tolerance.
-                for (size_t i = 0; i < s.size(); ++i)
-                    ASSERT_NEAR(exp_got[i], exp_want[i],
-                                5e-6 * std::max(1e-12, exp_want[i]))
-                        << "elem " << i;
+            // The scalar tier's outputs; decode and accumulate start
+            // from the same non-trivial state on every tier.
+            const AttendKernels &ref = attendKernels(SimdIsa::Scalar);
+            std::vector<float> rows_want(n_rows * stride, -1.0f);
+            ref.decodeRows(page, 0, n_rows, stride, rows_want.data());
+            std::vector<double> score_want(n_heads * n_rows);
+            std::vector<double> smax_want(n_heads);
+            ref.scorePage(q.data(), rows_want.data(), stride, n_rows,
+                          hd, n_heads, group, inv_sqrt,
+                          score_want.data(), n_rows, smax_want.data());
+            std::vector<double> acc_want(n_heads * hd, 0.5);
+            ref.accumPage(w.data(), n_rows, rows_want.data(), stride,
+                          n_rows, hd, n_heads, group, acc_want.data());
+            std::vector<double> exp_want(s.size());
+            ref.expWeights(s.data(), 0.0, s.size(), exp_want.data());
+
+            auto near = [](double got, double want) {
+                return std::abs(got - want) <=
+                       1e-9 * std::max(1.0, std::abs(want));
             };
             for (SimdIsa isa : supportedSimdIsas()) {
                 if (isa == SimdIsa::Scalar)
                     continue;
-                check(attendKernels(isa), simdIsaName(isa));
+                SCOPED_TRACE(simdIsaName(isa));
+                const AttendKernels &kern = attendKernels(isa);
+                std::vector<float> rows(n_rows * stride, -1.0f);
+                kern.decodeRows(page, 0, n_rows, stride, rows.data());
+                ASSERT_EQ(rows, rows_want);
+
+                // Score and accumulate over the scalar slab, so only
+                // the kernel under test differs.
+                std::vector<double> score(n_heads * n_rows);
+                std::vector<double> smax(n_heads);
+                kern.scorePage(q.data(), rows_want.data(), stride,
+                               n_rows, hd, n_heads, group, inv_sqrt,
+                               score.data(), n_rows, smax.data());
+                for (size_t i = 0; i < score.size(); ++i)
+                    ASSERT_TRUE(near(score[i], score_want[i]))
+                        << "score " << i << ": " << score[i]
+                        << " vs " << score_want[i];
+                for (unsigned h = 0; h < n_heads; ++h)
+                    EXPECT_TRUE(near(smax[h], smax_want[h]))
+                        << "head " << h;
+
+                std::vector<double> acc(n_heads * hd, 0.5);
+                kern.accumPage(w.data(), n_rows, rows_want.data(),
+                               stride, n_rows, hd, n_heads, group,
+                               acc.data());
+                for (size_t i = 0; i < acc.size(); ++i)
+                    ASSERT_TRUE(near(acc[i], acc_want[i]))
+                        << "acc " << i << ": " << acc[i] << " vs "
+                        << acc_want[i];
+
+                // The vector tiers run a float polynomial exp
+                // against the scalar libm double; the error grows
+                // with |s - m| (range-reduction rounding) but stays
+                // an order under the 1e-5 packed model tolerance.
+                std::vector<double> exp_got(s.size());
+                kern.expWeights(s.data(), 0.0, s.size(),
+                                exp_got.data());
+                for (size_t i = 0; i < s.size(); ++i)
+                    ASSERT_NEAR(exp_got[i], exp_want[i],
+                                5e-6 * std::max(1e-12, exp_want[i]))
+                        << "elem " << i;
             }
         }
     }
